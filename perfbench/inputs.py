@@ -23,7 +23,7 @@ Workloads (alpha 0.8, k 10, the default columnar engine throughout):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -84,8 +84,8 @@ class Corpus:
     sets: list[frozenset[str]]
     snapshot: Path
     #: The substrate's unit embedding rows (VectorStore order).
-    tokens: list[str] = field(default_factory=list)
-    vectors: np.ndarray | None = None
+    tokens: list[str]
+    vectors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,9 @@ class Op:
     """One request of a workload.
 
     ``kind`` is ``search``, ``insert``, ``replace`` or ``delete``. A
-    search with ``verifies`` set is the first read after a write: it
-    queries the written set's tokens to check the write took effect. A
-    delete carries the deleted set's former tokens (not sent).
+    search with ``verifies`` set checks the write to that name: it
+    queries the written set's tokens. A delete carries the deleted set's
+    former tokens (not sent).
     """
 
     kind: str
@@ -121,7 +121,8 @@ class Plan:
     #: Checking rotations sent after the timed phase (each write, then
     #: its read) by the workloads whose timed phase has no writes.
     checks: list[Op]
-    #: Back-to-back writes sent last; ``write_p50_ms`` is their median.
+    #: Back-to-back writes sent last; ``gateway.write_p50_ms`` is their
+    #: median.
     burst: list[Op]
     _stream: list[Op] | None = None
     _rotation: "Callable[[], WriteRotation] | None" = None

@@ -209,8 +209,8 @@ def served_pass(
 ) -> ServedPass:
     """Set up (timed, ``SETUP_LAUNCHES`` times), warm up, run the timed
     closed loop for ``seconds``, then the checking rotations and the
-    write burst; for a WAL-backed
-    plan, restart on snapshot + WAL and re-check every write."""
+    write burst; for a WAL-backed plan, restart on snapshot + WAL and
+    re-check every write."""
     config = write_config(plan, workdir)
     out = ServedPass()
     first = plan.warmup[0]
