@@ -1,23 +1,22 @@
 """Seeded inputs of the workloads.
 
 Everything a run sends is a pure function of ``(workload, seed)``: the
-corpora, the query lists, the write rotation and the Zipf draws. The
-corpora are indexed by the program itself (``build_substrate`` +
+corpus, the query lists, the write rotation and the Zipf draws. The
+corpus is indexed by the program itself (``build_substrate`` +
 ``save_snapshot``, exactly what ``repro index build`` runs), and the
 benchmark keeps its own copy of every generated set for the oracle.
 
 Workloads (alpha 0.8, k 10, the default columnar engine throughout):
 
-* ``strata`` -- ``STRATA_TENANTS`` OpenData-shaped corpora, one gateway
-  tenant each, queried by cardinality strata, all queries distinct,
-  result cache off. Runnable, but not listed in ``BENCHMARK.json``: its
-  spread across seeds is above the bound (see README.md).
 * ``large-n`` -- ``LARGE_N_SETS`` small sets of random-letter tokens in
   one memmap snapshot, short distinct queries, result cache off.
 * ``read-write`` -- the same corpus family at ``RW_SETS`` sets with a
-  write-ahead log and the result cache on; Zipf-repeated queries, and
-  one insert, replace or delete before every ``RW_READS_PER_WRITE + 1``
-  reads (its checking read, then Zipf reads).
+  write-ahead log and the result cache on. Reads are drawn by the
+  program's own Zipf generator (``repro.cluster.bench.zipf_queries``,
+  exponent 1, the generator of ``repro cluster bench``) over short
+  distinct queries; one insert, replace or delete comes before every
+  ``RW_READS_PER_WRITE + 1`` reads (its checking read, then Zipf reads).
+  The write rate is an assumption, not a measured mix.
 """
 
 from __future__ import annotations
@@ -32,21 +31,15 @@ import numpy as np
 ALPHA = 0.8
 K = 10
 
-WORKLOADS = ("strata", "large-n", "read-write")
+WORKLOADS = ("large-n", "read-write")
 
-#: strata: OpenData profile at the "tiny" scale (120 sets, sizes 3..60),
-#: one corpus per tenant; queries sampled per cardinality stratum.
-STRATA_PROFILE = ("opendata", "tiny")
-STRATA_TENANTS = 24
-STRATA_INTERVALS = 5
-STRATA_PER_INTERVAL = 1
-#: Write rotations (insert, replace, delete, each followed by its checking
-#: read) sent after the timed phase of the workloads without writes in
-#: it; strata sends one rotation to each tenant.
-LARGE_N_CHECK_ROTATIONS = 2
-#: Rotations whose writes are then sent back to back (every workload):
-#: the write-latency samples, all of one kind -- a write right behind a
-#: write, not behind a search.
+#: Write rotations (insert, replace, delete, each followed by its
+#: checking read) sent after the timed phase. large-n has no writes in
+#: its timed phase, so its reads after a write all come from here.
+CHECK_ROTATIONS = {"large-n": 4, "read-write": 2}
+#: Rotations whose writes are then sent back to back: the write-latency
+#: samples, all of one kind -- a write right behind a write, not behind
+#: a search.
 WRITE_BURST_ROTATIONS = 8
 
 #: large-n / read-write: sets of 3..14 tokens drawn uniformly from a
@@ -56,30 +49,38 @@ LARGE_N_SETS = 100_000
 LARGE_N_VOCAB = 20_000
 RW_SETS = 20_000
 RW_VOCAB = 4_000
-#: Short queries: 6 distinct vocabulary tokens (one size, so a cache
-#: miss costs about the same whichever query missed).
+#: Queries: 6 distinct vocabulary tokens (one size, so a cache miss
+#: costs about the same whichever query was drawn).
 QUERY_SIZE = 6
+LARGE_N_QUERIES = 400
 #: Written sets have 8 tokens; replace and delete targets are base sets
 #: of 6..10 tokens, so every checking read costs about the same.
 WRITE_SET_SIZE = 8
 WRITE_TARGET_SIZES = (6, 10)
-LARGE_N_QUERIES = 400
-RW_DISTINCT_QUERIES = 32
-RW_ZIPF_EXPONENT = 1.2
-RW_READS_PER_WRITE = 4
+#: read-write reads: ``zipf_queries`` over this many distinct queries
+#: (the ``repro cluster bench --distinct`` default).
+RW_DISTINCT_QUERIES = 30
+RW_ZIPF_DRAWS = 4096
+#: Assumed: eight reads between two writes, so the cache (emptied by
+#: every write, since its key holds the collection version) has a
+#: window in which repeats hit.
+RW_READS_PER_WRITE = 8
+
+#: The timed phase runs for ``--seconds`` and at least this many ops,
+#: so its medians never rest on a handful of slow queries.
+MIN_TIMED_OPS = 60
 
 #: Ops the traced (in-process) pass replays from the head of the timed
 #: stream; fixed, so its counters repeat exactly for a given seed.
-TRACED_OPS = {"strata": 60, "large-n": 20, "read-write": 48}
+TRACED_OPS = {"large-n": 20, "read-write": 50}
 
-_SALT = {"strata": 11, "large-n": 23, "read-write": 37}
+_SALT = {"large-n": 23, "read-write": 37}
 
 
 @dataclass
 class Corpus:
-    """One tenant's collection: what was generated and where it is indexed."""
+    """The generated collection and where it is indexed."""
 
-    tenant: str
     names: list[str]
     sets: list[frozenset[str]]
     snapshot: Path
@@ -99,7 +100,6 @@ class Op:
     """
 
     kind: str
-    tenant: str
     tokens: tuple[str, ...] = ()
     name: str | None = None
     verifies: str | None = None
@@ -113,36 +113,23 @@ class Op:
 class Plan:
     workload: str
     seed: int
-    corpora: list[Corpus]
+    corpus: Corpus
     cache_size: int
     wal: bool
     #: Untimed requests sent after set-up, before the timed phase.
     warmup: list[Op]
     #: Checking rotations sent after the timed phase (each write, then
-    #: its read) by the workloads whose timed phase has no writes.
+    #: its read).
     checks: list[Op]
     #: Back-to-back writes sent last; ``gateway.write_p50_ms`` is their
     #: median.
     burst: list[Op]
-    _stream: list[Op] | None = None
-    _rotation: "Callable[[], WriteRotation] | None" = None
-    #: The timed phase ends only after a whole pass over the query
-    #: list, so every run covers every tenant and stratum.
-    whole_rounds: bool = False
-
-    @property
-    def min_timed_ops(self) -> int:
-        return len(self._stream) if self.whole_rounds else 0
-
-    @property
-    def multi_tenant(self) -> bool:
-        return len(self.corpora) > 1
+    #: A fresh copy of the endless timed op sequence.
+    _stream: Callable[[], Iterator[Op]]
 
     def stream(self) -> Iterator[Op]:
         """The timed op sequence, endless and identical on every call."""
-        if self._rotation is not None:
-            return self._rotation().read_write_stream()
-        return itertools.cycle(self._stream)
+        return self._stream()
 
 
 def _rng(workload: str, seed: int, part: int = 0) -> np.random.Generator:
@@ -184,23 +171,19 @@ def _short_query(rng: np.random.Generator, vocab: list[str]) -> tuple:
     return tuple(sorted(vocab[int(j)] for j in picks))
 
 
-def index_corpus(
-    tenant: str, names: list[str], sets: list[frozenset[str]], path: Path
-) -> Corpus:
+def index_corpus(collection, path: Path) -> Corpus:
     """Index a generated collection with the program (hashing-cosine
     substrate, the serving default) into a snapshot at ``path``."""
-    from repro.datasets.collection import SetCollection
     from repro.service.bootstrap import build_substrate
     from repro.store import save_snapshot
 
-    collection = SetCollection(sets, names=names)
     index, _, descriptor = build_substrate(collection, alpha=ALPHA)
     store = index.store
     save_snapshot(path, collection, store=store, substrate=descriptor)
+    ids = list(collection.ids())
     return Corpus(
-        tenant=tenant,
-        names=list(names),
-        sets=list(sets),
+        names=[collection.name_of(i) for i in ids],
+        sets=[frozenset(collection[i]) for i in ids],
         snapshot=path,
         tokens=list(store.tokens),
         vectors=np.array(store.matrix, dtype=np.float32),
@@ -209,13 +192,13 @@ def index_corpus(
 
 class WriteRotation:
     """Insert, replace, delete -- each followed by the read that checks
-    it -- over one tenant, drawing targets and contents from ``rng``.
+    it -- drawing targets and contents from ``rng``.
 
     Replace and delete targets are base sets of ``WRITE_TARGET_SIZES``
     tokens never touched before, so the generated sequence does not
     depend on any response. Two rotations over one corpus stay apart by
     taking targets from disjoint residues ``part = (i, n)`` of the set
-    ids and inserting under different ``prefix``\ es.
+    ids and inserting under different ``prefix``\\ es.
     """
 
     def __init__(
@@ -224,14 +207,12 @@ class WriteRotation:
         corpus: Corpus,
         vocab: list[str],
         rng: np.random.Generator,
-        reads: list[tuple] | None = None,
         part: tuple[int, int] = (0, 1),
     ) -> None:
         self.prefix = prefix
         self.corpus = corpus
         self.vocab = vocab
         self.rng = rng
-        self.reads = reads
         low, high = WRITE_TARGET_SIZES
         residue, modulus = part
         self._targets = iter(
@@ -247,7 +228,6 @@ class WriteRotation:
         return tuple(sorted(self.vocab[int(j)] for j in picks))
 
     def rotation(self) -> list[Op]:
-        tenant = self.corpus.tenant
         self._inserted += 1
         new_name = f"{self.prefix}-ins-{self._inserted}"
         new_tokens = self._contents()
@@ -257,123 +237,47 @@ class WriteRotation:
         victim_name = self.corpus.names[victim]
         victim_tokens = tuple(sorted(self.corpus.sets[victim]))
         return [
-            Op("insert", tenant, new_tokens, name=new_name),
-            Op("search", tenant, new_tokens, verifies=new_name),
-            Op("replace", tenant, replacement, name=replaced),
-            Op("search", tenant, replacement, verifies=replaced),
-            Op("delete", tenant, victim_tokens, name=victim_name),
-            Op("search", tenant, victim_tokens, verifies=victim_name),
+            Op("insert", new_tokens, name=new_name),
+            Op("search", new_tokens, verifies=new_name),
+            Op("replace", replacement, name=replaced),
+            Op("search", replacement, verifies=replaced),
+            Op("delete", victim_tokens, name=victim_name),
+            Op("search", victim_tokens, verifies=victim_name),
         ]
 
-    def read_write_stream(self) -> Iterator[Op]:
-        """Endless read-write traffic: each write, its checking read,
-        then ``RW_READS_PER_WRITE`` Zipf-drawn reads."""
-        assert self.reads is not None
-        ranks = np.arange(1, len(self.reads) + 1, dtype=np.float64)
-        weights = ranks ** -RW_ZIPF_EXPONENT
-        weights /= weights.sum()
-        tenant = self.corpus.tenant
-        while True:
-            rotation = self.rotation()
-            for position in range(0, len(rotation), 2):
-                yield rotation[position]
-                yield rotation[position + 1]
-                draws = self.rng.choice(
-                    len(self.reads), size=RW_READS_PER_WRITE, p=weights
-                )
-                for draw in draws.tolist():
-                    yield Op("search", tenant, self.reads[draw])
 
-
-def write_burst(rotations: list[WriteRotation]) -> list[Op]:
-    """One rotation from each writer with all writes back to back, then
-    the checking reads of the last rotation: many write samples without
+def write_burst(rotation: WriteRotation) -> list[Op]:
+    """``WRITE_BURST_ROTATIONS`` rotations with all writes back to back,
+    then the checking reads of the last one: many write samples without
     a (possibly slow) read after each."""
-    ops = [rotation.rotation() for rotation in rotations]
+    ops = [rotation.rotation() for _ in range(WRITE_BURST_ROTATIONS)]
     writes = [op for rotation in ops for op in rotation if op.is_write]
     return writes + [op for op in ops[-1] if not op.is_write]
 
 
-def _strata(seed: int, workdir: Path) -> Plan:
-    from repro.datasets.benchmarks import QueryBenchmark
-    from repro.datasets.profiles import profile_by_name
-    from repro.datasets.synthetic import generate_dataset
-
-    profile = profile_by_name(STRATA_PROFILE[0], scale=STRATA_PROFILE[1])
-    corpora: list[Corpus] = []
-    per_tenant: list[list[Op]] = []
-    warmup: list[Op] = []
-    for position in range(STRATA_TENANTS):
-        tenant = f"od{position}"
-        corpus_seed = int(_rng("strata", seed, position).integers(2**31))
-        collection = generate_dataset(profile, seed=corpus_seed).collection
-        ids = list(collection.ids())
-        names = [collection.name_of(i) for i in ids]
-        sets = [frozenset(collection[i]) for i in ids]
-        corpus = index_corpus(
-            tenant, names, sets, workdir / f"{tenant}.snap"
-        )
-        corpora.append(corpus)
-        bench = QueryBenchmark.by_quantiles(
-            collection, STRATA_INTERVALS, STRATA_PER_INTERVAL,
-            seed=corpus_seed,
-        )
-        # Round-robin over strata, so any prefix of the list samples
-        # every stratum evenly.
-        groups = [list(group.query_ids) for group in bench.groups]
-        ordered = [
-            qid
-            for column in itertools.zip_longest(*groups)
-            for qid in column
-            if qid is not None
-        ]
-        per_tenant.append([
-            Op("search", tenant, tuple(sorted(collection[qid])))
-            for qid in ordered
-        ])
-        chosen = set(ordered)
-        # The smallest set outside the query list: a cheap, uniform
-        # first query, so set-up time is not one heavy search.
-        spare = min(
-            (i for i in ids if i not in chosen),
-            key=lambda i: (collection.cardinality(i), i),
-        )
-        warmup.append(
-            Op("search", tenant, tuple(sorted(collection[spare])))
-        )
-    # Interleave tenants too: one query of each tenant in turn.
-    stream = [
-        op
-        for column in itertools.zip_longest(*per_tenant)
-        for op in column
-        if op is not None
-    ]
-    # One rotation on each of the first tenants, so the checking reads
-    # average over corpora instead of following one.
-    rotations = [
-        WriteRotation(
-            "strata", corpus, sorted(set().union(*corpus.sets)),
-            _rng("strata", seed, 1000 + position),
-        )
-        for position, corpus in enumerate(corpora)
-    ]
-    checks = [op for rotation in rotations for op in rotation.rotation()]
-    burst = write_burst(rotations[:WRITE_BURST_ROTATIONS])
-    return Plan(
-        "strata", seed, corpora, cache_size=0, wal=False,
-        warmup=warmup, checks=checks, burst=burst, _stream=stream,
-        whole_rounds=True,
-    )
+def _distinct_queries(
+    rng: np.random.Generator, vocab: list[str], count: int
+) -> list[tuple]:
+    queries: list[tuple] = []
+    seen: set[tuple] = set()
+    while len(queries) < count:
+        query = _short_query(rng, vocab)
+        if query not in seen:
+            seen.add(query)
+            queries.append(query)
+    return queries
 
 
 def _letters_corpus(
     workload: str, seed: int, workdir: Path, num_sets: int, vocab_size: int
 ) -> tuple[Corpus, list[str]]:
+    from repro.datasets.collection import SetCollection
+
     rng = _rng(workload, seed)
     vocab = _letter_vocabulary(rng, vocab_size)
     sets = _letter_sets(rng, vocab, num_sets)
-    names = [f"s{i}" for i in range(num_sets)]
-    corpus = index_corpus(workload, names, sets, workdir / f"{workload}.snap")
+    collection = SetCollection(sets, names=[f"s{i}" for i in range(num_sets)])
+    corpus = index_corpus(collection, workdir / f"{workload}.snap")
     return corpus, sorted(set().union(*sets))
 
 
@@ -382,67 +286,72 @@ def _large_n(seed: int, workdir: Path) -> Plan:
         "large-n", seed, workdir, LARGE_N_SETS, LARGE_N_VOCAB
     )
     rng = _rng("large-n", seed, 1)
-    queries: list[tuple] = []
-    seen: set[tuple] = set()
-    while len(queries) < LARGE_N_QUERIES:
-        query = _short_query(rng, vocab)
-        if query not in seen:
-            seen.add(query)
-            queries.append(query)
-    warmup = [
-        Op("search", corpus.tenant, _short_query(rng, vocab))
-        for _ in range(2)
+    queries = _distinct_queries(rng, vocab, LARGE_N_QUERIES)
+    warmup = [Op("search", _short_query(rng, vocab)) for _ in range(2)]
+    stream = [Op("search", q) for q in queries]
+    rotation = WriteRotation("large-n", corpus, vocab, _rng("large-n", seed, 2))
+    checks = [
+        op for _ in range(CHECK_ROTATIONS["large-n"])
+        for op in rotation.rotation()
     ]
-    stream = [Op("search", corpus.tenant, q) for q in queries]
-    rotation = WriteRotation(
-        "large-n", corpus, vocab, _rng("large-n", seed, 2)
-    )
-    checks = [op for _ in range(LARGE_N_CHECK_ROTATIONS)
-              for op in rotation.rotation()]
-    burst = write_burst([rotation] * WRITE_BURST_ROTATIONS)
     return Plan(
-        "large-n", seed, [corpus], cache_size=0, wal=False,
-        warmup=warmup, checks=checks, burst=burst, _stream=stream,
+        "large-n", seed, corpus, cache_size=0, wal=False,
+        warmup=warmup, checks=checks, burst=write_burst(rotation),
+        _stream=lambda: itertools.cycle(stream),
     )
 
 
 def _read_write(seed: int, workdir: Path) -> Plan:
+    from repro.cluster.bench import zipf_queries
+
+    from repro.datasets.collection import SetCollection
+
     corpus, vocab = _letters_corpus(
         "read-write", seed, workdir, RW_SETS, RW_VOCAB
     )
     rng = _rng("read-write", seed, 1)
-    reads: list[tuple] = []
-    seen: set[tuple] = set()
-    while len(reads) < RW_DISTINCT_QUERIES + 2:
-        query = _short_query(rng, vocab)
-        if query not in seen:
-            seen.add(query)
-            reads.append(query)
-    warmup = [Op("search", corpus.tenant, q) for q in reads[-2:]]
-
-    def rotation() -> WriteRotation:
-        return WriteRotation(
-            "read-write", corpus, vocab, _rng("read-write", seed, 2),
-            reads=reads[:-2], part=(0, 2),
+    distinct = _distinct_queries(rng, vocab, RW_DISTINCT_QUERIES)
+    reads = [
+        tuple(sorted(query))
+        for query in zipf_queries(
+            SetCollection(distinct), distinct=len(distinct),
+            requests=RW_ZIPF_DRAWS, seed=int(rng.integers(2**31)),
         )
+    ]
+    warmup = [Op("search", _short_query(rng, vocab)) for _ in range(2)]
 
-    bursts = WriteRotation(
-        "read-write-burst", corpus, vocab, _rng("read-write", seed, 3),
+    def stream() -> Iterator[Op]:
+        """Each write, its checking read, then ``RW_READS_PER_WRITE``
+        reads of the Zipf stream."""
+        rotation = WriteRotation(
+            "read-write", corpus, vocab, _rng("read-write", seed, 2),
+            part=(0, 2),
+        )
+        draws = itertools.cycle(reads)
+        while True:
+            ops = rotation.rotation()
+            for position in range(0, len(ops), 2):
+                yield ops[position]
+                yield ops[position + 1]
+                for query in itertools.islice(draws, RW_READS_PER_WRITE):
+                    yield Op("search", query)
+
+    after = WriteRotation(
+        "read-write-after", corpus, vocab, _rng("read-write", seed, 3),
         part=(1, 2),
     )
+    checks = [
+        op for _ in range(CHECK_ROTATIONS["read-write"])
+        for op in after.rotation()
+    ]
     return Plan(
-        "read-write", seed, [corpus], cache_size=1024, wal=True,
-        warmup=warmup, checks=[],
-        burst=write_burst([bursts] * WRITE_BURST_ROTATIONS),
-        _rotation=rotation,
+        "read-write", seed, corpus, cache_size=1024, wal=True,
+        warmup=warmup, checks=checks, burst=write_burst(after),
+        _stream=stream,
     )
 
 
 def build_plan(workload: str, seed: int, workdir: Path) -> Plan:
     """Generate and index a workload's inputs under ``workdir``."""
-    builders = {
-        "strata": _strata,
-        "large-n": _large_n,
-        "read-write": _read_write,
-    }
+    builders = {"large-n": _large_n, "read-write": _read_write}
     return builders[workload](seed, workdir)

@@ -10,7 +10,8 @@ decreasing order of a sound upper bound (the smaller of the row-max and
 column-max sums) and the scan stops once the bound falls below the k-th
 exact score.
 
-``Checker`` replays a run's request log against per-tenant models:
+``Checker`` replays a run's request log against a model of the
+collection:
 writes update the model, and every search answer must match the oracle
 and pass the property checks (sorted, at most k hits, ``|Q & C| <=
 score <= min(|Q|, |C|)``, ``exact`` true). A read that follows a write
@@ -31,8 +32,8 @@ from scipy.optimize import linear_sum_assignment
 SCORE_TOL = 1e-5
 
 
-class TenantModel:
-    """The benchmark's own view of one tenant's live collection."""
+class Model:
+    """The benchmark's own view of the live collection."""
 
     def __init__(self, corpus, alpha: float) -> None:
         self.alpha = alpha
@@ -141,13 +142,13 @@ class TenantModel:
 class Checker:
     """Replays a request log; collects every mismatch as a message."""
 
-    def __init__(self, corpora, alpha: float, k: int,
+    def __init__(self, corpus, alpha: float, k: int,
                  memo: dict | None = None) -> None:
         self.k = k
-        self.models = {c.tenant: TenantModel(c, alpha) for c in corpora}
+        self.model = Model(corpus, alpha)
         self.errors: list[str] = []
-        #: Oracle answers by (tenant, model version, query); checkers
-        #: replaying the same op order may share one.
+        #: Oracle answers by (model version, query); checkers replaying
+        #: the same op order may share one.
         self._memo = {} if memo is None else memo
 
     def _fail(self, message: str) -> None:
@@ -156,7 +157,7 @@ class Checker:
 
     def check(self, op, response: dict) -> None:
         """Check one answered request (searches and writes) in log order."""
-        model = self.models[op.tenant]
+        model = self.model
         if op.is_write:
             if "set_id" not in response or response.get("op") != op.kind:
                 self._fail(f"{op.kind} {op.name}: bad ack {response}")
@@ -164,7 +165,7 @@ class Checker:
             return
         self._check_search(model, op, response)
 
-    def _check_search(self, model: TenantModel, op, response: dict) -> None:
+    def _check_search(self, model: Model, op, response: dict) -> None:
         hits = response.get("results")
         if not isinstance(hits, list):
             self._fail(f"search {op.tokens[:3]}: no results in {response}")
@@ -200,7 +201,7 @@ class Checker:
                 self._fail(
                     f"{where}: {name} scored {hit['score']}, oracle {truth}"
                 )
-        key = (op.tenant, model.version, tuple(query))
+        key = (model.version, tuple(query))
         expected = self._memo.get(key)
         if expected is None:
             expected = model.topk(query, self.k)

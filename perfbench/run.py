@@ -10,7 +10,8 @@ Run from the root of a checkout (the program is imported from
 prints the end-to-end metrics; ``--trace 1`` adds the in-process traced
 pass and prints the per-layer metrics instead. The last line of
 standard output is one JSON object: ``correct``, ``attempted``,
-``failed`` and ``metrics``. ``--repeat N`` runs seeds ``seed .. seed+N-1``
+``failed`` and ``metrics``; the exit code is 1 when an answer was wrong
+or an operation failed. ``--repeat N`` runs seeds ``seed .. seed+N-1``
 each in its own process and prints every metric's median and quartiles.
 See ``perfbench/README.md``.
 """
@@ -55,7 +56,7 @@ def end_to_end(served) -> dict:
     after_write = [
         read for write, read in zip(served.records, served.records[1:])
         if write.op.is_write and not read.op.is_write
-        and read.phase in ("timed", "checks")
+        and read.phase in ("timed", "checks", "burst")
     ]
     return {
         "setup_s": (statistics.median(served.setup_seconds), "s"),
@@ -83,7 +84,7 @@ def run_once(args, root: Path) -> int:
               flush=True)
         served = served_pass(plan, root, workdir, args.seconds)
         memo: dict = {}
-        checker = Checker(plan.corpora, ALPHA, K, memo)
+        checker = Checker(plan.corpus, ALPHA, K, memo)
         records = list(served.records)
         for record in records:
             if not record.failed:
@@ -93,7 +94,7 @@ def run_once(args, root: Path) -> int:
             from traced import layer_metrics, traced_pass
 
             traced = traced_pass(plan, workdir)
-            traced_checker = Checker(plan.corpora, ALPHA, K, memo)
+            traced_checker = Checker(plan.corpus, ALPHA, K, memo)
             for record in traced.records:
                 if not record.failed:
                     traced_checker.check(record.op, record.response)
@@ -118,17 +119,19 @@ def run_once(args, root: Path) -> int:
         f"{served.timed_seconds:.2f}s, {len(served.records)} served "
         f"requests, {len(errors)} mismatches"
     )
+    failed = sum(1 for r in records if r.failed)
     result = {
         "correct": not errors,
         "attempted": len(records),
-        "failed": sum(1 for r in records if r.failed),
+        "failed": failed,
         "metrics": {
             name: {"value": value, "unit": unit}
             for name, (value, unit) in metrics.items()
         },
     }
     print(json.dumps(result))
-    return 0
+    # A wrong answer or a failed operation fails the run.
+    return 1 if errors or failed else 0
 
 
 def run_repeated(args) -> int:
@@ -146,11 +149,14 @@ def run_repeated(args) -> int:
             capture_output=True, text=True,
         )
         lines = proc.stdout.strip().splitlines()
-        if proc.returncode != 0 or not lines:
-            print(f"seed {seed}: exit {proc.returncode}")
+        try:
+            result = json.loads(lines[-1])
+        except (IndexError, ValueError):
+            print(f"seed {seed}: exit {proc.returncode}, no result")
             print(proc.stderr[-2000:])
             return 1
-        result = json.loads(lines[-1])
+        if proc.returncode != 0:
+            print(f"seed {seed}: exit {proc.returncode}")
         failures += result["failed"] + (not result["correct"])
         print(f"seed {seed}: " + " ".join(
             f"{name}={m['value']:.4g}" for name, m in result["metrics"].items()
@@ -165,8 +171,8 @@ def run_repeated(args) -> int:
             q1 = q2 = q3 = series[0]
         spread = (q3 - q1) / q2 if q2 else 0.0
         print(f"{name:32} {q2:12.4f} {q1:12.4f} {q3:12.4f} {spread:8.3f}")
-    print(f"failed or incorrect runs: {failures}")
-    return 0
+    print(f"failed operations and incorrect runs: {failures}")
+    return 1 if failures else 0
 
 
 def main(argv=None) -> int:

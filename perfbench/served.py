@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from inputs import ALPHA, K, Op, Plan
+from inputs import ALPHA, K, MIN_TIMED_OPS, Op, Plan
 
 #: Gateway launches whose time-to-first-answer is measured; the last
 #: one stays up for the rest of the pass.
@@ -43,18 +43,15 @@ def server_env(root: Path) -> dict:
 
 
 def write_config(plan: Plan, workdir: Path) -> Path:
-    tenants = []
-    for corpus in plan.corpora:
-        spec = {
-            "name": corpus.tenant,
-            "collection": corpus.snapshot.name,
-            "alpha": ALPHA,
-            "engine": "columnar",
-        }
-        if plan.wal:
-            spec["wal"] = f"{corpus.tenant}.wal"
-        tenants.append(spec)
-    config = {"cache_size": plan.cache_size, "tenants": tenants}
+    tenant = {
+        "name": plan.workload,
+        "collection": plan.corpus.snapshot.name,
+        "alpha": ALPHA,
+        "engine": "columnar",
+    }
+    if plan.wal:
+        tenant["wal"] = f"{plan.workload}.wal"
+    config = {"cache_size": plan.cache_size, "tenants": [tenant]}
     path = workdir / "gateway.json"
     path.write_text(json.dumps(config, indent=1), encoding="utf-8")
     return path
@@ -150,16 +147,12 @@ class Gateway:
             self._log = None
 
 
-def to_request(op: Op, number: int, multi_tenant: bool) -> dict:
+def to_request(op: Op, number: int) -> dict:
     if op.kind == "search":
-        obj = {"id": f"r{number}", "query": list(op.tokens), "k": K}
-    elif op.kind == "delete":
-        obj = {"op": "delete", "name": op.name}
-    else:
-        obj = {"op": op.kind, "name": op.name, "tokens": list(op.tokens)}
-    if multi_tenant:
-        obj["tenant"] = op.tenant
-    return obj
+        return {"id": f"r{number}", "query": list(op.tokens), "k": K}
+    if op.kind == "delete":
+        return {"op": "delete", "name": op.name}
+    return {"op": op.kind, "name": op.name, "tokens": list(op.tokens)}
 
 
 @dataclass
@@ -188,16 +181,15 @@ class ServedPass:
 
 
 class _Client:
-    def __init__(self, gateway: Gateway, plan: Plan, out: ServedPass):
+    def __init__(self, gateway: Gateway, out: ServedPass):
         self.gateway = gateway
-        self.plan = plan
         self.out = out
         self.number = 0
 
     def run(self, phase: str, op: Op) -> Record:
         self.number += 1
         response, seconds = self.gateway.request(
-            to_request(op, self.number, self.plan.multi_tenant)
+            to_request(op, self.number)
         )
         record = Record(phase, op, response, seconds)
         self.out.records.append(record)
@@ -208,9 +200,9 @@ def served_pass(
     plan: Plan, root: Path, workdir: Path, seconds: float
 ) -> ServedPass:
     """Set up (timed, ``SETUP_LAUNCHES`` times), warm up, run the timed
-    closed loop for ``seconds``, then the checking rotations and the
-    write burst; for a WAL-backed plan, restart on snapshot + WAL and
-    re-check every write."""
+    closed loop for ``seconds`` and at least ``MIN_TIMED_OPS`` ops, then
+    the checking rotations and the write burst; for a WAL-backed plan,
+    restart on snapshot + WAL and re-check every write."""
     config = write_config(plan, workdir)
     out = ServedPass()
     first = plan.warmup[0]
@@ -220,7 +212,7 @@ def served_pass(
             gateway = Gateway(root, workdir, config)
             started = time.perf_counter()
             gateway.start()
-            client = _Client(gateway, plan, out)
+            client = _Client(gateway, out)
             client.run("setup", first)
             out.setup_seconds.append(time.perf_counter() - started)
             if launch < SETUP_LAUNCHES - 1:
@@ -232,7 +224,7 @@ def served_pass(
         done = 0
         while (
             time.perf_counter() - started < seconds
-            or done < plan.min_timed_ops
+            or done < MIN_TIMED_OPS
         ):
             client.run("timed", next(stream))
             done += 1
@@ -246,7 +238,7 @@ def served_pass(
         if plan.wal:
             gateway = Gateway(root, workdir, config)
             gateway.start()
-            client = _Client(gateway, plan, out)
+            client = _Client(gateway, out)
             for op in restart_checks(out.records):
                 client.run("restart", op)
             gateway.stop()
@@ -265,6 +257,6 @@ def restart_checks(records: list[Record]) -> list[Op]:
         if record.op.is_write and not record.failed:
             last[record.op.name] = record.op
     return [
-        Op("search", op.tenant, op.tokens, verifies=name)
+        Op("search", op.tokens, verifies=name)
         for name, op in last.items()
     ]

@@ -11,6 +11,10 @@ pass yields both overheads without running any query twice.
 
 The pass replays a fixed number of ops, so its counters (candidates,
 solver runs, label updates, stream tuples) repeat exactly for a seed.
+Afterwards a few of its queries are answered again: twice through a
+cache-enabled scheduler (the cache-hit path), and twice each through a
+scheduler over the proxy and one straight over the pool, in the order
+plain, traced, traced, plain (the cost of the recording itself).
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ from pathlib import Path
 
 from inputs import ALPHA, K, TRACED_OPS, Op, Plan
 
-#: Queries answered twice through a cache-enabled scheduler after the
-#: pass, so the cache-hit path is timed on cache-off workloads too.
-CACHE_PROBE_QUERIES = 5
+#: Queries answered again after the pass: twice through a cache-enabled
+#: scheduler (so the cache-hit path is timed on cache-off workloads
+#: too), then with and without the span-recording proxy.
+PROBE_QUERIES = 5
 
 
 @dataclass
@@ -159,13 +164,6 @@ class TracedPool:
 
 
 @dataclass
-class Tenant:
-    pool: object
-    proxy: TracedPool
-    scheduler: object
-
-
-@dataclass
 class TracedRecord:
     op: Op
     response: dict
@@ -183,16 +181,18 @@ class TracedPass:
     records: list[TracedRecord] = field(default_factory=list)
     calls: list[EngineCall] = field(default_factory=list)
     cache_probe_ms: list[float] = field(default_factory=list)
+    #: Per query: ``QueryScheduler.answer`` wall time through the
+    #: ``TracedPool`` proxy over the same call straight on the pool.
+    overhead_ratios: list[float] = field(default_factory=list)
 
 
-def _build_tenant(corpus, plan: Plan, workdir: Path, tracer: Tracer,
-                  first: Op | None) -> Tenant:
+def _build_pool(plan: Plan, tracer: Tracer):
     from repro.core.config import FilterConfig
-    from repro.service import EnginePool, QueryScheduler, ResultCache
-    from repro.store import WriteAheadLog, load_snapshot
+    from repro.service import EnginePool
+    from repro.store import load_snapshot
 
     with tracer.span("store.load"):
-        loaded = load_snapshot(corpus.snapshot)
+        loaded = load_snapshot(plan.corpus.snapshot)
     with tracer.span("store.overlay"):
         overlay = loaded.mutable()
     with tracer.span("store.pool_build"):
@@ -200,31 +200,25 @@ def _build_tenant(corpus, plan: Plan, workdir: Path, tracer: Tracer,
             overlay, loaded.token_index, loaded.sim, alpha=ALPHA,
             config=FilterConfig.koios(engine="columnar"),
         )
-    if first is not None:
-        with tracer.span("store.first_query"):
-            pool.search(frozenset(first.tokens), K)
-    proxy = TracedPool(pool, tracer)
-    wal = None
-    if plan.wal:
-        wal = WriteAheadLog(workdir / f"traced-{corpus.tenant}.wal")
-    cache = ResultCache(capacity=plan.cache_size) if plan.cache_size else None
-    scheduler = QueryScheduler(proxy, cache=cache, wal=wal)
-    return Tenant(pool, proxy, scheduler)
+    with tracer.span("store.first_query"):
+        pool.search(frozenset(plan.warmup[0].tokens), K)
+    return pool
 
 
 def traced_pass(plan: Plan, workdir: Path) -> TracedPass:
     """Replay the head of the timed stream, the checking rotations and
-    the write burst."""
-    from repro.service import serve_lines
+    the write burst; then time the cache-hit path and the tracing
+    overhead."""
+    from repro.service import QueryScheduler, ResultCache, serve_lines
     from repro.service.request import SearchRequest
+    from repro.store import WriteAheadLog
 
     tracer = Tracer()
-    firsts = {op.tenant: op for op in plan.warmup}
-    tenants = {
-        c.tenant: _build_tenant(c, plan, workdir, tracer,
-                                firsts.get(c.tenant))
-        for c in plan.corpora
-    }
+    pool = _build_pool(plan, tracer)
+    proxy = TracedPool(pool, tracer)
+    wal = WriteAheadLog(workdir / "traced.wal") if plan.wal else None
+    cache = ResultCache(capacity=plan.cache_size) if plan.cache_size else None
+    scheduler = QueryScheduler(proxy, cache=cache, wal=wal)
     ops = list(itertools.islice(plan.stream(), TRACED_OPS[plan.workload]))
     out = TracedPass(tracer)
     searches = 0
@@ -233,8 +227,6 @@ def traced_pass(plan: Plan, workdir: Path) -> TracedPass:
             ops + plan.checks + plan.burst, start=1
         ):
             tracer.trace = number
-            tenant = tenants[op.tenant]
-            scheduler = tenant.scheduler
             if op.is_write:
                 with tracer.span("scheduler.write"):
                     if op.kind == "insert":
@@ -244,8 +236,8 @@ def traced_pass(plan: Plan, workdir: Path) -> TracedPass:
                     else:
                         set_id = scheduler.delete_set(op.name)
                 with tracer.span("pool.refresh"):
-                    tenant.pool.refresh()
-                tenant.proxy.after_write = True
+                    pool.refresh()
+                proxy.after_write = True
                 out.records.append(
                     TracedRecord(op, {"op": op.kind, "set_id": set_id})
                 )
@@ -267,42 +259,61 @@ def traced_pass(plan: Plan, workdir: Path) -> TracedPass:
                 response = json.loads(answer.to_json())
             searches += 1
             out.records.append(TracedRecord(op, response, entry, span.ms))
-        _cache_probe(tenants, ops, out)
+        queries = [
+            SearchRequest.from_obj(
+                {"id": "probe", "query": list(op.tokens), "k": K}
+            )
+            for op in ops if not op.is_write
+        ][:PROBE_QUERIES]
+        proxy.recording = False
+        _cache_probe(proxy, queries, out)
+        _overhead_probe(pool, proxy, queries, out)
     finally:
-        for tenant in tenants.values():
-            tenant.scheduler.shutdown()
-            tenant.pool.shutdown()
-    for tenant in tenants.values():
-        out.calls.extend(tenant.proxy.calls)
+        scheduler.shutdown()
+        pool.shutdown()
+    out.calls.extend(proxy.calls)
     return out
 
 
-def _cache_probe(tenants, ops, out: TracedPass) -> None:
-    """Time cache hits: answer a few queries twice through a scheduler
+def _cache_probe(proxy, queries, out: TracedPass) -> None:
+    """Time cache hits: answer each query twice through a scheduler
     with a result cache (the workload's own cache, when it has one,
     already produced hits in the pass)."""
     from repro.service import QueryScheduler, ResultCache
-    from repro.service.request import SearchRequest
 
-    queries = [op for op in ops if not op.is_write][:CACHE_PROBE_QUERIES]
-    for op in queries:
-        tenant = tenants[op.tenant]
-        tenant.proxy.recording = False
-        probe = QueryScheduler(tenant.proxy, cache=ResultCache(capacity=8))
+    for request in queries:
+        probe = QueryScheduler(proxy, cache=ResultCache(capacity=8))
         try:
-            request = SearchRequest.from_obj(
-                {"id": "probe", "query": list(op.tokens), "k": K}
-            )
             probe.answer(request)
             started = time.perf_counter()
             answer = probe.answer(request)
             elapsed = (time.perf_counter() - started) * 1000.0
         finally:
             probe.shutdown()
-            tenant.proxy.recording = True
         if not answer.cached:
             raise RuntimeError("cache probe: second answer was not cached")
         out.cache_probe_ms.append(elapsed)
+
+
+def _overhead_probe(pool, proxy, queries, out: TracedPass) -> None:
+    """Answer each query through two cache-less schedulers, one over
+    the span-recording proxy and one straight over the pool, in the
+    order plain, traced, traced, plain, and keep the per-query ratio of
+    the traced to the plain wall time."""
+    from repro.service import QueryScheduler
+
+    schedulers = {"plain": QueryScheduler(pool), "traced": QueryScheduler(proxy)}
+    try:
+        for request in queries:
+            wall = {"plain": 0.0, "traced": 0.0}
+            for which in ("plain", "traced", "traced", "plain"):
+                started = time.perf_counter()
+                schedulers[which].answer(request)
+                wall[which] += time.perf_counter() - started
+            out.overhead_ratios.append(wall["traced"] / wall["plain"])
+    finally:
+        for scheduler in schedulers.values():
+            scheduler.shutdown()
 
 
 def _p50(values) -> float:
@@ -339,13 +350,6 @@ def layer_metrics(traced: TracedPass, plan: Plan, served) -> dict:
     )
     burst = [r.seconds * 1000.0 for r in served.phase("burst")
              if r.op.is_write]
-    ratios = []
-    for mine, theirs in zip(traced.records, served.phase("timed")):
-        if mine.op.is_write or mine.response.get("cached"):
-            continue
-        if theirs.response.get("cached") or not theirs.response["seconds"]:
-            continue
-        ratios.append(mine.response["seconds"] / theirs.response["seconds"])
     return {
         "gateway.overhead_p50_ms": (gateway, "ms"),
         "gateway.write_p50_ms": (_p50(burst), "ms"),
@@ -404,8 +408,7 @@ def layer_metrics(traced: TracedPass, plan: Plan, served) -> dict:
             hits / solver_runs if solver_runs else 0.0, "ratio"
         ),
         "tracing.overhead_pct": (
-            (statistics.median(ratios) - 1.0) * 100.0 if ratios else 0.0,
-            "%",
+            (statistics.median(traced.overhead_ratios) - 1.0) * 100.0, "%"
         ),
     }
 
